@@ -285,7 +285,7 @@ func runFig5Campaign() ([]Result, error) {
 }
 
 // runTableI reproduces the Table I scalability row and reports the
-// engine's end-to-end dispatch rate. Quick mode runs a single
+// engine's run-phase dispatch rate (TableI times DataCenter.Run only). Quick mode runs a single
 // invocation instead of a timed benchmark loop.
 func runTableI(quick bool) (Result, error) {
 	p := experiments.QuickTableI()

@@ -1,144 +1,170 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
-	"holdcsim/internal/core"
-	"holdcsim/internal/server"
+	"holdcsim/internal/scenario"
 )
 
-func TestAssembleDefaults(t *testing.T) {
-	fc := fileConfig{
-		Seed:          1,
-		Servers:       8,
-		DelayTimerSec: -1,
-		Workload:      workConfig{Rho: 0.3, ServiceSec: 0.005},
-		DurationSec:   10,
+const testdata = "../../internal/scenario/testdata"
+
+// cli drives the binary in-process and captures stdout/stderr.
+func cli(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errw bytes.Buffer
+	code = run(args, &out, &errw)
+	return code, out.String(), errw.String()
+}
+
+// line returns the first report line starting with prefix.
+func line(t *testing.T, report, prefix string) string {
+	t.Helper()
+	for _, l := range strings.Split(report, "\n") {
+		if strings.HasPrefix(l, prefix) {
+			return l
+		}
 	}
-	cfg, err := assemble(fc)
+	t.Fatalf("no %q line in report:\n%s", prefix, report)
+	return ""
+}
+
+// TestRunMatchesInMemoryScenario: the file front end is the in-memory
+// Scenario.Run of the decoded file — same jobs, same energy — with
+// zero invariant violations.
+func TestRunMatchesInMemoryScenario(t *testing.T) {
+	file := filepath.Join(testdata, "fig5-delaytimer.json")
+	code, got, errw := cli(t, file)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errw)
+	}
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Servers != 8 || cfg.ServerConfig.Profile.Cores != 4 {
-		t.Errorf("servers=%d cores=%d", cfg.Servers, cfg.ServerConfig.Profile.Cores)
-	}
-	if cfg.ServerConfig.DelayTimerEnabled {
-		t.Error("negative delayTimerSec should disable the timer")
-	}
-	if _, err := core.Build(cfg); err != nil {
-		t.Fatalf("assembled config does not build: %v", err)
-	}
-}
-
-func TestAssembleXeonAndPerCore(t *testing.T) {
-	fc := fileConfig{
-		Servers:       2,
-		Profile:       "xeon",
-		QueueMode:     "percore",
-		DelayTimerSec: 1.5,
-		Placer:        "packfirst",
-		Workload:      workConfig{Rho: 0.2, ServiceSec: 0.01},
-		DurationSec:   5,
-	}
-	cfg, err := assemble(fc)
+	s, err := scenario.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ServerConfig.Profile.Cores != 10 {
-		t.Errorf("cores = %d, want 10", cfg.ServerConfig.Profile.Cores)
-	}
-	if cfg.ServerConfig.QueueMode != server.QueuePerCore {
-		t.Error("queue mode not per-core")
-	}
-	if !cfg.ServerConfig.DelayTimerEnabled {
-		t.Error("delay timer not enabled")
-	}
-}
-
-func TestAssembleMMPP(t *testing.T) {
-	fc := fileConfig{
-		Servers: 4,
-		Workload: workConfig{
-			Arrivals: "mmpp", Rho: 0.3, ServiceSec: 0.005,
-			BurstRatio: 20, BurstFraction: 0.1,
-		},
-		DelayTimerSec: -1,
-		DurationSec:   5,
-	}
-	cfg, err := assemble(fc)
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Arrivals == nil {
-		t.Fatal("no arrivals")
+	var want bytes.Buffer
+	report(&want, res.Results, time.Second)
+	if res.Results.JobsCompleted == 0 {
+		t.Fatal("fixture completed no jobs")
 	}
-	if _, err := core.Build(cfg); err != nil {
-		t.Fatalf("assembled MMPP config does not build: %v", err)
+	for _, prefix := range []string{"jobs:", "server energy:", "residency:", "wakeups:"} {
+		if g, w := line(t, got, prefix), line(t, want.String(), prefix); g != w {
+			t.Errorf("%s line diverged from the in-memory run:\nfile:   %s\nmemory: %s", prefix, g, w)
+		}
+	}
+	if l := line(t, got, "scenario:"); l != "scenario: "+s.String() {
+		t.Errorf("label line %q, want the scenario's canonical label", l)
+	}
+	if l := line(t, got, "invariant violations:"); l != "invariant violations: 0" {
+		t.Errorf("violation line %q", l)
 	}
 }
 
-func TestAssembleTopologyAndComm(t *testing.T) {
-	fc := fileConfig{
-		Servers:       16,
-		DelayTimerSec: -1,
-		Topology:      &topoConfig{Kind: "fattree", K: 4},
-		CommMode:      "flow",
-		Workload:      workConfig{Rho: 0.2, ServiceSec: 0.005},
-		DurationSec:   5,
-	}
-	cfg, err := assemble(fc)
+// TestRunNetworkedScenario: a packet-mode scenario reports its network
+// energy and traffic, matching the in-memory run.
+func TestRunNetworkedScenario(t *testing.T) {
+	s, err := scenario.Preset("fig13-switch-validation")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Topology == nil || cfg.CommMode != core.CommFlow {
-		t.Error("topology/comm not assembled")
+	data, err := scenario.Encode(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := core.Build(cfg); err != nil {
-		t.Fatalf("assembled networked config does not build: %v", err)
+	file := filepath.Join(t.TempDir(), "packet.json")
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestAssembleRejects(t *testing.T) {
-	bad := []fileConfig{
-		{Servers: 2, Profile: "vax", DelayTimerSec: -1,
-			Workload: workConfig{Rho: 0.1, ServiceSec: 0.01}, DurationSec: 1},
-		{Servers: 2, Placer: "oracle", DelayTimerSec: -1,
-			Workload: workConfig{Rho: 0.1, ServiceSec: 0.01}, DurationSec: 1},
-		{Servers: 2, DelayTimerSec: -1,
-			Workload: workConfig{Rho: 0.1, ServiceSec: 0}, DurationSec: 1},
-		{Servers: 2, DelayTimerSec: -1,
-			Workload: workConfig{Arrivals: "fractal", Rho: 0.1, ServiceSec: 0.01}, DurationSec: 1},
-		{Servers: 2, DelayTimerSec: -1, Topology: &topoConfig{Kind: "moebius"},
-			Workload: workConfig{Rho: 0.1, ServiceSec: 0.01}, DurationSec: 1},
-		{Servers: 2, DelayTimerSec: -1, Topology: &topoConfig{Kind: "star"}, CommMode: "telepathy",
-			Workload: workConfig{Rho: 0.1, ServiceSec: 0.01}, DurationSec: 1},
+	code, got, errw := cli(t, file)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errw)
 	}
-	for i, fc := range bad {
-		if _, err := assemble(fc); err == nil {
-			t.Errorf("case %d: bad config accepted", i)
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Results.NetStats.PacketsDelivered == 0 {
+		t.Fatal("packet preset delivered no packets")
+	}
+	var want bytes.Buffer
+	report(&want, res.Results, time.Second)
+	for _, prefix := range []string{"network energy:", "network:"} {
+		if g, w := line(t, got, prefix), line(t, want.String(), prefix); g != w {
+			t.Errorf("%s line diverged from the in-memory run:\nfile:   %s\nmemory: %s", prefix, g, w)
 		}
 	}
 }
 
-func TestBuildTopoKinds(t *testing.T) {
-	kinds := []topoConfig{
-		{Kind: "fattree", K: 4},
-		{Kind: "star", Hosts: 8},
-		{Kind: "bcube", N: 2, K: 1},
-		{Kind: "camcube", X: 2, Y: 2, Z: 2},
-		{Kind: "flatbutterfly", Rows: 2, Cols: 2, Conc: 1},
+// TestRunTraceFileFromOtherDir: a relative traceFile resolves against
+// the scenario file's directory, not the working directory.
+func TestRunTraceFileFromOtherDir(t *testing.T) {
+	file, err := filepath.Abs(filepath.Join(testdata, "tracefile.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range kinds {
-		topo, ports, err := buildTopo(tc)
-		if err != nil {
-			t.Errorf("%s: %v", tc.Kind, err)
-			continue
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
 		}
-		if topo == nil || ports <= 0 {
-			t.Errorf("%s: topo=%v ports=%d", tc.Kind, topo, ports)
+	})
+
+	code, out, errw := cli(t, file)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errw)
+	}
+	if l := line(t, out, "jobs:"); strings.HasPrefix(l, "jobs: generated 0,") {
+		t.Fatalf("trace replay generated no jobs: %s", l)
+	}
+	if l := line(t, out, "scenario:"); !strings.Contains(l, `"arrivals.trace"`) {
+		t.Errorf("label does not carry the as-written trace path: %s", l)
+	}
+}
+
+// TestRunRejects: bad input exits 1 with a diagnostic, bad usage 2.
+func TestRunRejects(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"servers": 4, "sevrers": 5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		code int
+		diag string
+	}{
+		{[]string{bad}, 1, "sevrers"},
+		{[]string{filepath.Join(testdata, "matrix.json")}, 1, "scenario run"},
+		{[]string{"no-such-file.json"}, 1, "no-such-file.json"},
+		{nil, 2, "usage"},
+		{[]string{"-config", bad}, 2, "usage"},
+	} {
+		code, out, errw := cli(t, c.args...)
+		if code != c.code {
+			t.Errorf("args %v: exit %d, want %d", c.args, code, c.code)
 		}
-		if _, err := topo.Build(); err != nil {
-			t.Errorf("%s build: %v", tc.Kind, err)
+		if !strings.Contains(errw, c.diag) {
+			t.Errorf("args %v: diagnostic %q does not mention %q", c.args, errw, c.diag)
+		}
+		if out != "" {
+			t.Errorf("args %v: rejected run printed a report:\n%s", c.args, out)
 		}
 	}
 }

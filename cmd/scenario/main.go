@@ -19,7 +19,8 @@
 //	  -matrix          export the demo campaign matrix
 //	  -o FILE          output path (default stdout)
 //
-// A scenario file's relative traceFile path resolves against the
+// Files load through scenario.LoadFile, the loader cmd/holdcsim shares:
+// a scenario file's relative traceFile path resolves against the
 // scenario file's directory, so a config and its recorded trace travel
 // as a pair.
 package main
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"holdcsim/internal/runner"
@@ -85,63 +85,19 @@ and every scenario is validated on load. See DESIGN.md Sec. 10.
 `)
 }
 
-// loaded pairs an executable scenario with its canonical label. The
-// label is computed from the scenario as written in the file — before
-// relative traceFile paths are resolved against the file's directory —
-// so labels, and the replication seeds the runner derives from them,
-// never depend on the directory the CLI was invoked from.
-type loaded struct {
-	s     scenario.Scenario
-	label string
-}
-
-// asLoaded wraps in-memory scenarios (no file, nothing to resolve).
-func asLoaded(ss []scenario.Scenario) []loaded {
-	out := make([]loaded, len(ss))
-	for i, s := range ss {
-		out[i] = loaded{s: s, label: s.String()}
-	}
-	return out
-}
-
-// loadFile decodes one scenario or matrix file, labels each scenario
-// as written, then resolves relative traceFile paths against the
-// file's directory for execution.
-func loadFile(path string) ([]loaded, bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false, err
-	}
-	ss, isMatrix, err := scenario.DecodeAny(data)
-	if err != nil {
-		return nil, false, fmt.Errorf("%s: %w", path, err)
-	}
-	out := asLoaded(ss)
-	dir := filepath.Dir(path)
-	for i := range out {
-		if tf := out[i].s.Arrival.TraceFile; tf != "" && !filepath.IsAbs(tf) {
-			out[i].s.Arrival.TraceFile = filepath.Join(dir, tf)
-		}
-		if tf := out[i].s.Faults.TraceFile; tf != "" && !filepath.IsAbs(tf) {
-			out[i].s.Faults.TraceFile = filepath.Join(dir, tf)
-		}
-	}
-	return out, isMatrix, nil
-}
-
 func cmdValidate(args []string, w io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("validate: no files")
 	}
 	for _, path := range args {
-		ss, isMatrix, err := loadFile(path)
+		ss, isMatrix, err := scenario.LoadFile(path)
 		if err != nil {
 			return err
 		}
 		if isMatrix {
 			fmt.Fprintf(w, "%s: matrix, %d valid scenarios\n", path, len(ss))
 		} else {
-			fmt.Fprintf(w, "%s: %s\n", path, ss[0].label)
+			fmt.Fprintf(w, "%s: %s\n", path, ss[0].Label)
 		}
 	}
 	return nil
@@ -152,12 +108,12 @@ func cmdExpand(args []string, w io.Writer) error {
 		return fmt.Errorf("expand: no files")
 	}
 	for _, path := range args {
-		ss, _, err := loadFile(path)
+		ss, _, err := scenario.LoadFile(path)
 		if err != nil {
 			return err
 		}
 		for _, l := range ss {
-			fmt.Fprintln(w, l.label)
+			fmt.Fprintln(w, l.Label)
 		}
 	}
 	return nil
@@ -174,9 +130,9 @@ func cmdRun(args []string, w io.Writer) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("run: no files")
 	}
-	var scenarios []loaded
+	var scenarios []scenario.Loaded
 	for _, path := range fs.Args() {
-		ss, _, err := loadFile(path)
+		ss, _, err := scenario.LoadFile(path)
 		if err != nil {
 			return err
 		}
@@ -199,7 +155,7 @@ func cmdRun(args []string, w io.Writer) error {
 // rep i > 0 derives from (seed, label, i) — which is why scenario
 // labels must be injective. Returns the TSV, the total violation
 // count, and any construction error.
-func runScenarios(scenarios []loaded, opts runner.Options) (string, int, error) {
+func runScenarios(scenarios []scenario.Loaded, opts runner.Options) (string, int, error) {
 	if len(scenarios) == 0 {
 		return "", 0, fmt.Errorf("run: zero scenarios")
 	}
@@ -210,10 +166,10 @@ func runScenarios(scenarios []loaded, opts runner.Options) (string, int, error) 
 	flat := make([]runner.Run[scenario.Result], 0, len(scenarios)*reps)
 	for _, l := range scenarios {
 		for rep := 0; rep < reps; rep++ {
-			s2 := l.s
-			s2.Seed = runner.RepSeed(l.s.Seed, l.label, rep)
+			s2 := l.Scenario
+			s2.Seed = runner.RepSeed(l.Scenario.Seed, l.Label, rep)
 			flat = append(flat, runner.Run[scenario.Result]{
-				Key: l.label,
+				Key: l.Label,
 				Do: func(uint64) (scenario.Result, error) {
 					res, err := s2.Run()
 					if err != nil && res.Results == nil {
@@ -236,7 +192,7 @@ func runScenarios(scenarios []loaded, opts runner.Options) (string, int, error) 
 		for rep := 0; rep < reps; rep++ {
 			res := out[i*reps+rep]
 			violations += len(res.Violations)
-			writeRow(&b, l.label, rep, runner.RepSeed(l.s.Seed, l.label, rep), res)
+			writeRow(&b, l.Label, rep, runner.RepSeed(l.Scenario.Seed, l.Label, rep), res)
 		}
 	}
 	return b.String(), violations, nil

@@ -41,7 +41,7 @@ func TestExportReimportByteIdentical(t *testing.T) {
 	// The in-memory equivalent: same preset value, same runner options,
 	// same renderer — no file in the loop.
 	s := scenario.Presets()["fig5-delaytimer"]
-	want, violations, err := runScenarios(asLoaded([]scenario.Scenario{s}), runner.Options{Reps: 2})
+	want, violations, err := runScenarios([]scenario.Loaded{{Scenario: s, Label: s.String()}}, runner.Options{Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,18 +204,18 @@ func TestRunCorrelatedFaultScenario(t *testing.T) {
 // as written, not from the CLI-resolved trace path — the same (file,
 // trace) pair run from two directories is the same experiment.
 func TestTraceFileLabelIgnoresInvocationDir(t *testing.T) {
-	items, _, err := loadFile(filepath.Join(testdata, "tracefile.json"))
+	items, _, err := scenario.LoadFile(filepath.Join(testdata, "tracefile.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(items[0].label, testdata) {
-		t.Errorf("label leaks the invocation-relative path: %s", items[0].label)
+	if strings.Contains(items[0].Label, testdata) {
+		t.Errorf("label leaks the invocation-relative path: %s", items[0].Label)
 	}
-	if !strings.Contains(items[0].label, `"arrivals.trace"`) {
-		t.Errorf("label does not carry the as-written trace path: %s", items[0].label)
+	if !strings.Contains(items[0].Label, `"arrivals.trace"`) {
+		t.Errorf("label does not carry the as-written trace path: %s", items[0].Label)
 	}
-	if !strings.HasSuffix(items[0].s.Arrival.TraceFile, filepath.Join(testdata, "arrivals.trace")) {
-		t.Errorf("execution path not resolved against the file dir: %s", items[0].s.Arrival.TraceFile)
+	if !strings.HasSuffix(items[0].Scenario.Arrival.TraceFile, filepath.Join(testdata, "arrivals.trace")) {
+		t.Errorf("execution path not resolved against the file dir: %s", items[0].Scenario.Arrival.TraceFile)
 	}
 	// And the TSV carries the as-written label, so reps reproduce
 	// anywhere.

@@ -1,8 +1,9 @@
 // Command tracegen emits synthetic workload traces (one arrival
 // timestamp per line, seconds) on stdout — the stand-ins for the
 // Wikipedia [59] and NLANR [2] traces used by the paper (see DESIGN.md's
-// substitution table). Generated files replay through `cmd/holdcsim` or
-// the library's TraceReplay.
+// substitution table). Generated files replay as a scenario file's
+// trace-file arrival (`holdcsim FILE`, `scenario run`) or through the
+// library's TraceReplay.
 //
 // Usage:
 //

@@ -4,14 +4,9 @@ import (
 	"fmt"
 
 	"holdcsim/internal/core"
-	"holdcsim/internal/dist"
 	"holdcsim/internal/fault"
-	"holdcsim/internal/power"
 	"holdcsim/internal/runner"
-	"holdcsim/internal/sched"
-	"holdcsim/internal/server"
-	"holdcsim/internal/simtime"
-	"holdcsim/internal/workload"
+	"holdcsim/internal/scenario"
 )
 
 // Fig5Params parameterizes the Sec. IV-B single delay-timer exploration:
@@ -22,7 +17,6 @@ import (
 type Fig5Params struct {
 	Seed         uint64
 	Servers      int
-	Cores        int
 	Utilizations []float64
 	// TausSec is the sweep grid; per-workload grids scale it by the
 	// workload's TauScale.
@@ -44,7 +38,7 @@ type Fig5Params struct {
 // Fig5Workload names one service-time profile and its τ grid.
 type Fig5Workload struct {
 	Name    string
-	Service dist.Sampler
+	Service scenario.ServiceKind
 	TausSec []float64
 }
 
@@ -55,12 +49,11 @@ func DefaultFig5() Fig5Params {
 	return Fig5Params{
 		Seed:         11,
 		Servers:      50,
-		Cores:        4,
 		Utilizations: []float64{0.1, 0.3, 0.6},
 		Workloads: []Fig5Workload{
-			{Name: "web-search", Service: workload.WebSearchService(),
+			{Name: "web-search", Service: scenario.SvcWebSearch,
 				TausSec: []float64{0, 0.1, 0.2, 0.4, 0.8, 1.5, 2.5, 4, 5}},
-			{Name: "web-serving", Service: workload.WebServingService(),
+			{Name: "web-serving", Service: scenario.SvcWebServing,
 				TausSec: []float64{0, 0.5, 1, 2, 4.8, 8, 12, 16, 20}},
 		},
 		DurationSec: 60,
@@ -73,9 +66,9 @@ func QuickFig5() Fig5Params {
 	p.Servers = 10
 	p.Utilizations = []float64{0.1, 0.3}
 	p.Workloads = []Fig5Workload{
-		{Name: "web-search", Service: workload.WebSearchService(),
+		{Name: "web-search", Service: scenario.SvcWebSearch,
 			TausSec: []float64{0, 0.4, 2.5, 5}},
-		{Name: "web-serving", Service: workload.WebServingService(),
+		{Name: "web-serving", Service: scenario.SvcWebServing,
 			TausSec: []float64{0, 1, 4.8, 20}},
 	}
 	p.DurationSec = 20
@@ -182,21 +175,19 @@ func Fig5(p Fig5Params) (*Fig5Result, error) {
 }
 
 func fig5Point(p Fig5Params, wl Fig5Workload, rho, tau float64, seed uint64) (Fig5Point, error) {
-	sc := server.DefaultConfig(power.FourCoreServer())
-	sc.DelayTimerEnabled = true
-	sc.DelayTimer = simtime.FromSeconds(tau)
-	rate := workload.UtilizationRate(rho, p.Servers, p.Cores, wl.Service.Mean())
-	cfg := core.Config{
-		Seed:         seed,
-		Check:        p.Check,
-		Faults:       p.Faults,
-		Servers:      p.Servers,
-		ServerConfig: sc,
-		Placer:       sched.PackFirst{},
-		Arrivals:     workload.Poisson{Rate: rate},
-		Factory:      workload.SingleTask{Service: wl.Service},
-		Duration:     simtime.FromSeconds(p.DurationSec),
+	cfg, err := scenario.Scenario{
+		Seed:          seed,
+		Servers:       p.Servers,
+		DelayTimerSec: tau,
+		Placer:        scenario.PlacerSpec{Kind: scenario.PlPackFirst},
+		Arrival:       scenario.ArrivalSpec{Kind: scenario.ArrPoisson, Rho: rho},
+		Factory:       scenario.FactorySpec{Kind: scenario.FacSingle, Service: wl.Service},
+		DurationSec:   p.DurationSec,
+	}.Config()
+	if err != nil {
+		return Fig5Point{}, err
 	}
+	cfg.Check, cfg.Faults = p.Check, p.Faults
 	dc, err := core.Build(cfg)
 	if err != nil {
 		return Fig5Point{}, err

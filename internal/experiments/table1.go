@@ -6,12 +6,8 @@ import (
 
 	"holdcsim/internal/core"
 	"holdcsim/internal/fault"
-	"holdcsim/internal/power"
 	"holdcsim/internal/runner"
-	"holdcsim/internal/sched"
-	"holdcsim/internal/server"
-
-	"holdcsim/internal/workload"
+	"holdcsim/internal/scenario"
 )
 
 // TableI reproduces the paper's capability comparison (Table I). The
@@ -53,7 +49,8 @@ func QuickTableI() TableIParams {
 // figures.
 type TableIResult struct {
 	Features *Table
-	// Scalability measurements.
+	// Scalability measurements. EventsPerSec and WallSeconds cover
+	// DataCenter.Run only; the farm build is outside the timed region.
 	Servers       int
 	JobsCompleted int64
 	EventsPerSec  float64
@@ -102,25 +99,26 @@ func TableI(p TableIParams) (*TableIResult, error) {
 }
 
 func tableIScale(p TableIParams, seed uint64) (*TableIResult, error) {
-	prof := power.FourCoreServer()
-	sc := server.DefaultConfig(prof)
-	cfg := core.Config{
-		Seed:         seed,
-		Check:        p.Check,
-		Faults:       p.Faults,
-		Servers:      p.ScaleServers,
-		ServerConfig: sc,
-		Placer:       sched.RoundRobin{},
-		Arrivals: workload.Poisson{
-			Rate: workload.UtilizationRate(0.2, p.ScaleServers, prof.Cores, 0.005)},
-		Factory: workload.SingleTask{Service: workload.WebSearchService()},
-		MaxJobs: p.ScaleJobs,
+	cfg, err := scenario.Scenario{
+		Seed:          seed,
+		Servers:       p.ScaleServers,
+		DelayTimerSec: -1,
+		Placer:        scenario.PlacerSpec{Kind: scenario.PlRoundRobin},
+		Arrival:       scenario.ArrivalSpec{Kind: scenario.ArrPoisson, Rho: 0.2},
+		Factory:       scenario.FactorySpec{Kind: scenario.FacSingle, Service: scenario.SvcWebSearch},
+		MaxJobs:       p.ScaleJobs,
+	}.Config()
+	if err != nil {
+		return nil, err
 	}
-	start := time.Now() //simlint:allow determinism wall-clock timing of the Table I row, not model state
+	cfg.Check, cfg.Faults = p.Check, p.Faults
 	dc, err := core.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
+	// Only the run phase is timed, as in Hyperscale: build cost is not
+	// event throughput.
+	start := time.Now() //simlint:allow determinism wall-clock timing of the Table I row, not model state
 	res, err := dc.Run()
 	if err != nil {
 		return nil, err

@@ -52,10 +52,10 @@ func FuzzFaultSchedule(f *testing.F) {
 		}
 		res, err := s.Run()
 		if err != nil {
-			t.Fatalf("seed=%d mut=%#x %s: %v", seed, mut, s.Name(), err)
+			t.Fatalf("seed=%d mut=%#x %s: %v", seed, mut, s.String(), err)
 		}
 		if len(res.Violations) != 0 {
-			t.Fatalf("seed=%d mut=%#x %s: violations %v", seed, mut, s.Name(), res.Violations)
+			t.Fatalf("seed=%d mut=%#x %s: violations %v", seed, mut, s.String(), res.Violations)
 		}
 		r := res.Results
 		if r.JobsCompleted+r.JobsLost > r.JobsGenerated {

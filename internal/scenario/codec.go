@@ -20,6 +20,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -338,4 +340,44 @@ func DecodeAny(data []byte) (scenarios []Scenario, isMatrix bool, err error) {
 		return nil, false, err
 	}
 	return []Scenario{s}, false, nil
+}
+
+// Loaded pairs an executable scenario with its canonical label. The
+// label is computed from the scenario as written in the file — before
+// relative traceFile paths are resolved against the file's directory —
+// so labels, and the replication seeds the runner derives from them,
+// never depend on the directory the file was loaded from.
+type Loaded struct {
+	Scenario Scenario
+	Label    string
+}
+
+// LoadFile is the one scenario-file loader every front end shares: it
+// decodes a scenario or matrix file (DecodeAny), labels each scenario
+// as written, then resolves relative traceFile paths against the
+// file's directory for execution, so a config and its recorded traces
+// travel as a set.
+func LoadFile(path string) (ls []Loaded, isMatrix bool, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false, err
+	}
+	ss, isMatrix, err := DecodeAny(data)
+	if err != nil {
+		return nil, false, fmt.Errorf("%s: %w", path, err)
+	}
+	dir := filepath.Dir(path)
+	resolve := func(tf *string) {
+		if *tf != "" && !filepath.IsAbs(*tf) {
+			*tf = filepath.Join(dir, *tf)
+		}
+	}
+	ls = make([]Loaded, len(ss))
+	for i, s := range ss {
+		ls[i].Label = s.String()
+		resolve(&s.Arrival.TraceFile)
+		resolve(&s.Faults.TraceFile)
+		ls[i].Scenario = s
+	}
+	return ls, isMatrix, nil
 }

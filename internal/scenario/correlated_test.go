@@ -77,7 +77,7 @@ func TestCorrelatedFaultMatrix(t *testing.T) {
 			if err != nil {
 				failures++
 				if failures <= 5 {
-					t.Errorf("scenario %d %s: %v", i, s.Name(), err)
+					t.Errorf("scenario %d %s: %v", i, s.String(), err)
 				}
 				return
 			}
@@ -85,7 +85,7 @@ func TestCorrelatedFaultMatrix(t *testing.T) {
 				failures++
 				if failures <= 5 {
 					t.Errorf("scenario %d %s: %d violation(s): %v",
-						i, s.Name(), len(res.Violations), res.Violations[0])
+						i, s.String(), len(res.Violations), res.Violations[0])
 				}
 			}
 		}()
@@ -178,19 +178,19 @@ func TestArrivalClip(t *testing.T) {
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %s", i, s.Name())
+			t.Errorf("case %d: Validate accepted %s", i, s.String())
 		}
 	}
 
 	// Labels: clip variants never collide.
-	l0, l1, l2 := mk(0, 0).Name(), mk(2, 5).Name(), mk(2, 0).Name()
+	l0, l1, l2 := mk(0, 0).String(), mk(2, 5).String(), mk(2, 0).String()
 	if l0 == l1 || l1 == l2 || l0 == l2 {
 		t.Errorf("clip labels collide: %q %q %q", l0, l1, l2)
 	}
 	// Dead clip fields on another kind still render (injectivity).
 	dead := Scenario{Arrival: ArrivalSpec{Kind: ArrPoisson, Rho: 0.4, ClipFromSec: 1}}
 	live := Scenario{Arrival: ArrivalSpec{Kind: ArrPoisson, Rho: 0.4}}
-	if dead.Name() == live.Name() {
+	if dead.String() == live.String() {
 		t.Error("dead clip fields dropped from the label")
 	}
 

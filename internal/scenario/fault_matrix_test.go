@@ -59,7 +59,7 @@ func TestScenarioMatrixWithFaults(t *testing.T) {
 	for i, s := range scenarios {
 		s := s
 		runs[i] = runner.Run[Result]{
-			Key: s.Name(),
+			Key: s.String(),
 			Do:  func(uint64) (Result, error) { return s.Run() },
 		}
 	}
@@ -70,15 +70,15 @@ func TestScenarioMatrixWithFaults(t *testing.T) {
 	var crashes, lost, orphaned, linkCuts, switchFails, completed int64
 	for i, r := range results {
 		if len(r.Violations) != 0 {
-			t.Errorf("%s: %v", scenarios[i].Name(), r.Violations)
+			t.Errorf("%s: %v", scenarios[i].String(), r.Violations)
 		}
 		if r.Results == nil {
-			t.Fatalf("%s: no results", scenarios[i].Name())
+			t.Fatalf("%s: no results", scenarios[i].String())
 		}
 		res := r.Results
 		completed += res.JobsCompleted
 		if res.Faults == nil {
-			t.Fatalf("%s: faulted scenario returned no ledger", scenarios[i].Name())
+			t.Fatalf("%s: faulted scenario returned no ledger", scenarios[i].String())
 		}
 		crashes += res.Faults.ServerCrashes
 		lost += res.JobsLost
@@ -88,7 +88,7 @@ func TestScenarioMatrixWithFaults(t *testing.T) {
 		if res.JobsCompleted+res.JobsLost != res.JobsGenerated {
 			// MaxJobs horizons drain fully even under failures: every
 			// generated job either completes or is accounted lost.
-			t.Errorf("%s: completed %d + lost %d != generated %d", scenarios[i].Name(),
+			t.Errorf("%s: completed %d + lost %d != generated %d", scenarios[i].String(),
 				res.JobsCompleted, res.JobsLost, res.JobsGenerated)
 		}
 	}

@@ -48,36 +48,36 @@ func TestFluidPresetDifferential(t *testing.T) {
 		fluid := base
 		fluid.NetModel = network.ModelFluid
 		if err := fluid.Validate(); err != nil {
-			t.Fatalf("fluid variant of %s invalid: %v", base.Name(), err)
+			t.Fatalf("fluid variant of %s invalid: %v", base.String(), err)
 		}
 		pr, err := packet.Run()
 		if err != nil {
-			t.Fatalf("packet run %s: %v", packet.Name(), err)
+			t.Fatalf("packet run %s: %v", packet.String(), err)
 		}
 		fr, err := fluid.Run()
 		if err != nil {
-			t.Fatalf("fluid run %s: %v", fluid.Name(), err)
+			t.Fatalf("fluid run %s: %v", fluid.String(), err)
 		}
 		for _, res := range []Result{pr, fr} {
 			if len(res.Violations) != 0 {
 				t.Fatalf("%s: %d invariant violations: %v",
-					res.Scenario.Name(), len(res.Violations), res.Violations[0])
+					res.Scenario.String(), len(res.Violations), res.Violations[0])
 			}
 		}
 		if pr.Results.JobsGenerated != fr.Results.JobsGenerated ||
 			pr.Results.JobsCompleted != fr.Results.JobsCompleted {
 			t.Errorf("%s: job counts diverge: packet %d/%d, fluid %d/%d",
-				base.Name(),
+				base.String(),
 				pr.Results.JobsGenerated, pr.Results.JobsCompleted,
 				fr.Results.JobsGenerated, fr.Results.JobsCompleted)
 		}
 		pEnd, fEnd := pr.Results.End.Seconds(), fr.Results.End.Seconds()
 		if pEnd <= 0 || fEnd <= 0 {
-			t.Fatalf("%s: degenerate end times packet %g fluid %g", base.Name(), pEnd, fEnd)
+			t.Fatalf("%s: degenerate end times packet %g fluid %g", base.String(), pEnd, fEnd)
 		}
 		if ratio := fEnd / pEnd; ratio < 0.5 || ratio > 2 {
 			t.Errorf("%s: end-time ratio %.3f outside [0.5, 2] (packet %g s, fluid %g s)",
-				base.Name(), ratio, pEnd, fEnd)
+				base.String(), ratio, pEnd, fEnd)
 		}
 	}
 }
@@ -93,11 +93,11 @@ func TestNetModelAxis(t *testing.T) {
 
 	fluid := base
 	fluid.NetModel = network.ModelFluid
-	if !strings.Contains(fluid.Name(), "/fluid") {
-		t.Errorf("fluid label %q missing /fluid segment", fluid.Name())
+	if !strings.Contains(fluid.String(), "/fluid") {
+		t.Errorf("fluid label %q missing /fluid segment", fluid.String())
 	}
-	if strings.Contains(base.Name(), "/fluid") {
-		t.Errorf("packet label %q claims fluid", base.Name())
+	if strings.Contains(base.String(), "/fluid") {
+		t.Errorf("packet label %q claims fluid", base.String())
 	}
 
 	// Fluid requires packet comm: flow comm and server-only both reject.

@@ -41,10 +41,10 @@ func FuzzScenario(f *testing.F) {
 		}
 		res, err := s.Run()
 		if err != nil {
-			t.Fatalf("seed=%d mut=%#x %s: %v", seed, mut, s.Name(), err)
+			t.Fatalf("seed=%d mut=%#x %s: %v", seed, mut, s.String(), err)
 		}
 		if len(res.Violations) != 0 {
-			t.Fatalf("seed=%d mut=%#x %s: violations %v", seed, mut, s.Name(), res.Violations)
+			t.Fatalf("seed=%d mut=%#x %s: violations %v", seed, mut, s.String(), res.Violations)
 		}
 		if r := res.Results; r.JobsCompleted > r.JobsGenerated {
 			t.Fatalf("seed=%d mut=%#x: completed %d > generated %d", seed, mut,

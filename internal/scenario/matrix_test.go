@@ -51,9 +51,9 @@ func TestScenarioMatrix(t *testing.T) {
 	runs := make([]runner.Run[Result], len(scenarios))
 	for i, s := range scenarios {
 		s := s
-		names[s.Name()] = true
+		names[s.String()] = true
 		runs[i] = runner.Run[Result]{
-			Key: s.Name(),
+			Key: s.String(),
 			// The scenario carries its own seed; the runner's derived
 			// seed is unused so the run stays a pure function of s.
 			Do: func(uint64) (Result, error) { return s.Run() },
@@ -69,15 +69,15 @@ func TestScenarioMatrix(t *testing.T) {
 	completed := int64(0)
 	for i, r := range results {
 		if len(r.Violations) != 0 {
-			t.Errorf("%s: %v", scenarios[i].Name(), r.Violations)
+			t.Errorf("%s: %v", scenarios[i].String(), r.Violations)
 		}
 		if r.Results == nil {
-			t.Fatalf("%s: no results", scenarios[i].Name())
+			t.Fatalf("%s: no results", scenarios[i].String())
 		}
 		completed += r.Results.JobsCompleted
 		if r.Results.JobsCompleted != r.Results.JobsGenerated {
 			// MaxJobs horizons drain fully: generation stops, queues empty.
-			t.Errorf("%s: completed %d of %d generated", scenarios[i].Name(),
+			t.Errorf("%s: completed %d of %d generated", scenarios[i].String(),
 				r.Results.JobsCompleted, r.Results.JobsGenerated)
 		}
 	}
@@ -104,7 +104,7 @@ func TestRandomScenarios(t *testing.T) {
 		}
 		kinds[fmt.Sprintf("%v/%v/%v/%v", s.Topology.Kind, s.Comm, s.Placer.Kind, s.Arrival.Kind)] = true
 		runs[i] = runner.Run[Result]{
-			Key: s.Name(),
+			Key: s.String(),
 			Do:  func(uint64) (Result, error) { return s.Run() },
 		}
 	}
@@ -119,7 +119,7 @@ func TestRandomScenarios(t *testing.T) {
 	}
 	for i, r := range results {
 		if len(r.Violations) != 0 {
-			t.Errorf("seed %d (%s): %v", 1000+i, r.Scenario.Name(), r.Violations)
+			t.Errorf("seed %d (%s): %v", 1000+i, r.Scenario.String(), r.Violations)
 		}
 	}
 }

@@ -681,10 +681,6 @@ func (s Scenario) String() string {
 	return name
 }
 
-// Name is the scenario's stable run identifier — an alias of String,
-// kept for call sites that read better as Name().
-func (s Scenario) Name() string { return s.String() }
-
 // finiteScenarioFloats lists every float field with its label for
 // Validate's non-finite sweep. NaN slips through ordinary range
 // comparisons (every comparison is false), so scenarios decoded or
@@ -886,7 +882,7 @@ func (s Scenario) buildCover(m *modelcov.Map) (*core.DataCenter, error) {
 	cfg.Cover = m
 	dc, err := core.Build(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name(), err)
+		return nil, fmt.Errorf("scenario %s: %w", s, err)
 	}
 	if s.DVFS {
 		for _, srv := range dc.Servers {
@@ -926,7 +922,7 @@ func (s Scenario) RunCover(m *modelcov.Map) (Result, error) {
 		out.Violations = c.Violations()
 	}
 	if err != nil {
-		return out, fmt.Errorf("scenario %s: %w", s.Name(), err)
+		return out, fmt.Errorf("scenario %s: %w", s, err)
 	}
 	return out, nil
 }
