@@ -16,9 +16,9 @@ import (
 )
 
 // serialExec pins experiment benchmarks to one worker so their ns/op
-// stays comparable with the serial trajectory recorded in
-// BENCH_engine.json (cmd/benchrunner measures parallel campaign
-// speedup explicitly; these targets guard the hot path).
+// measures the simulation hot path, not the machine's core count
+// (output is identical at any worker count; TestWorkerCountEquivalence
+// pins that).
 var serialExec = runner.Options{Workers: 1}
 
 // ---------------------------------------------------------------------

@@ -15,6 +15,12 @@
 //	experiments -exp fig5 -workers 1  # serial execution (same bytes)
 //	experiments -exp fig5 -reps 5     # 5 replications with error bars
 //	experiments -exp all -quick -check # verify conservation laws per run
+//	experiments -exp hyperscale       # the 1,024,000-server scale row
+//
+// The hyperscale row runs only when named: at full size it builds a
+// fat-tree K=160 farm (1,024,000 servers in 12,800 rack shards), which
+// takes minutes and several GB of RSS; -quick shrinks it to 1,024
+// servers. -exp all leaves it out.
 package main
 
 import (
@@ -23,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,7 +53,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: all|table1|fig4|fig5|fig6|fig8|fig9|fig11|fig12|fig13")
+	exp := fs.String("exp", "all", "experiment: all|table1|fig4|fig5|fig6|fig8|fig9|fig11|fig12|fig13|hyperscale")
 	quick := fs.Bool("quick", false, "use reduced-scale presets")
 	out := fs.String("out", "", "directory to write TSV series (optional)")
 	workers := fs.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS)")
@@ -57,15 +64,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	runners := map[string]func(cliOpts) error{
-		"table1": runTableI,
-		"fig4":   runFig4,
-		"fig5":   runFig5,
-		"fig6":   runFig6,
-		"fig8":   runFig8,
-		"fig9":   runFig9,
-		"fig11":  runFig11,
-		"fig12":  runFig12,
-		"fig13":  runFig13,
+		"table1":     runTableI,
+		"fig4":       runFig4,
+		"fig5":       runFig5,
+		"fig6":       runFig6,
+		"fig8":       runFig8,
+		"fig9":       runFig9,
+		"fig11":      runFig11,
+		"fig12":      runFig12,
+		"fig13":      runFig13,
+		"hyperscale": runHyperscale,
 	}
 	names := make([]string, 0, len(runners))
 	for n := range runners {
@@ -73,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sort.Strings(names)
 
-	targets := names
+	targets := slices.DeleteFunc(slices.Clone(names), func(n string) bool { return n == "hyperscale" })
 	if *exp != "all" {
 		if _, ok := runners[*exp]; !ok {
 			fmt.Fprintf(stderr, "unknown experiment %q (have: %s, all)\n",
@@ -304,6 +312,20 @@ func runFig13(o cliOpts) error {
 			"Fig. 14b: switch power trace, segment 2 (40-60 min)", 40*60, 60*60)); err != nil {
 			return err
 		}
+	}
+	fmt.Fprintln(o.w, r.Summary())
+	return nil
+}
+
+func runHyperscale(o cliOpts) error {
+	p := experiments.DefaultHyperscale()
+	if o.quick {
+		p = experiments.QuickHyperscale()
+	}
+	p.Check = o.check
+	r, err := experiments.Hyperscale(p)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintln(o.w, r.Summary())
 	return nil

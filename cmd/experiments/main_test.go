@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,7 +15,7 @@ import (
 // pinned by the golden tests in internal/experiments.
 func TestRunEveryExperimentQuick(t *testing.T) {
 	for _, exp := range []string{"table1", "fig4", "fig5", "fig6", "fig8",
-		"fig9", "fig11", "fig12", "fig13"} {
+		"fig9", "fig11", "fig12", "fig13", "hyperscale"} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
 			t.Parallel()
@@ -38,6 +40,28 @@ func TestRunSingleExperimentQuick(t *testing.T) {
 	got := stdout.String()
 	if !strings.Contains(got, "==== table1 ====") || !strings.Contains(got, "capability") {
 		t.Fatalf("table1 output missing:\n%s", got)
+	}
+}
+
+// The hyperscale row in quick mode: the K=16 farm builds and runs, and
+// the summary carries a live dispatch rate and a measured peak RSS.
+func TestRunHyperscaleQuick(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-exp", "hyperscale", "-quick"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	got := stdout.String()
+	if !strings.Contains(got, "1024 servers in 128 racks") {
+		t.Fatalf("quick farm size missing:\n%s", got)
+	}
+	m := regexp.MustCompile(`(\d+) events/s .* peak RSS (\d+) MiB`).FindStringSubmatch(got)
+	if m == nil {
+		t.Fatalf("events/s or peak RSS missing:\n%s", got)
+	}
+	for i, what := range []string{"events/s", "peak RSS"} {
+		if v, err := strconv.ParseFloat(m[i+1], 64); err != nil || v <= 0 {
+			t.Errorf("%s = %q, want > 0", what, m[i+1])
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ func TestIsModelPackage(t *testing.T) {
 		{"holdcsim/internal/scenario", true},
 		{"holdcsim/internal/scenario/sub", true}, // scoped by top-level name
 		{"holdcsim/internal/analysis", false},    // the suite itself is not a model
-		{"holdcsim/cmd/benchrunner", true},       // every cmd/ is in scope
+		{"holdcsim/cmd/experiments", true},       // every cmd/ is in scope
 		{"holdcsim/cmd/simlint", true},
 		{"holdcsim", false},
 		{"holdcsim/examples/basic", false},

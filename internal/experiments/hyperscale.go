@@ -129,9 +129,9 @@ func Hyperscale(p HyperscaleParams) (*HyperscaleResult, error) {
 
 // Summary renders the scale verdict.
 func (r *HyperscaleResult) Summary() string {
-	return fmt.Sprintf("hyperscale: %d servers in %d racks, %d jobs, %.0f events/s over %.2fs run (%.2fs build), peak RSS %.1f GiB",
+	return fmt.Sprintf("hyperscale: %d servers in %d racks, %d jobs, %.0f events/s over %.2fs run (%.2fs build), peak RSS %.0f MiB",
 		r.Servers, r.Racks, r.JobsCompleted, r.EventsPerSec, r.RunSeconds,
-		r.BuildSeconds, float64(r.PeakRSSBytes)/(1<<30))
+		r.BuildSeconds, float64(r.PeakRSSBytes)/(1<<20))
 }
 
 // rackShards derives the rack shard map from a transient fat-tree

@@ -43,3 +43,19 @@ func TestPacketForwardingZeroAlloc(t *testing.T) {
 		t.Fatalf("packet forwarding allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// TestFluidStepAllocs caps the fluid model's per-step allocations at
+// the figure BenchmarkFluidStep records (121 allocs/op, about 4.9 kB/op,
+// stable across runs): the three-transfer step must not allocate more.
+// Unlike the packet path the fluid step is not pooled yet, so the gate
+// is a ceiling rather than zero; lower it as the step sheds allocations.
+func TestFluidStepAllocs(t *testing.T) {
+	step := newFluidStep(t)
+	for i := 0; i < 10; i++ {
+		step() // warm the route cache and event heap
+	}
+	const ceiling = 121
+	if avg := testing.AllocsPerRun(200, step); avg > ceiling {
+		t.Fatalf("fluid step allocates %.2f allocs/op, want <= %d", avg, ceiling)
+	}
+}

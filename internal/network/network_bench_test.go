@@ -57,3 +57,42 @@ func BenchmarkPacketForwarding(b *testing.B) {
 		eng.Run()
 	}
 }
+
+// newFluidStep builds a k=4 fat-tree in fluid mode and returns one
+// rate-sharing step: a contending pair of transfers into one
+// destination plus a disjoint one, driving waterfill re-rates at every
+// flow start and release. This is the per-transfer cost of fluid mode,
+// the counterpart of the per-hop cost BenchmarkPacketForwarding
+// measures. BenchmarkFluidStep and TestFluidStepAllocs share it.
+func newFluidStep(tb testing.TB) func() {
+	tb.Helper()
+	g, err := topology.FatTree{K: 4, RateBps: 10e9}.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng := engine.New()
+	cfg := DefaultConfig(power.DataCenter10G(8))
+	cfg.Model = ModelFluid
+	n, err := New(eng, g, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hosts := g.Hosts()
+	return func() {
+		for _, tr := range [...]struct{ src, dst int }{{0, 15}, {1, 15}, {2, 3}} {
+			if err := n.TransferPackets(hosts[tr.src], hosts[tr.dst], 15_000, nil); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		eng.Run()
+	}
+}
+
+func BenchmarkFluidStep(b *testing.B) {
+	b.ReportAllocs()
+	step := newFluidStep(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
